@@ -53,6 +53,7 @@ from repro.campaign.store import (
     canonical_encode,
     spec_digest,
     trial_key,
+    trial_keys,
 )
 
 __all__ = [
@@ -79,4 +80,5 @@ __all__ = [
     "kaslr_cell",
     "spec_digest",
     "trial_key",
+    "trial_keys",
 ]

@@ -33,7 +33,15 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro import telemetry
 from repro.campaign.report import CampaignReport, build_report
 from repro.campaign.spec import CampaignSpec, Shard, TrialRef
-from repro.campaign.store import ResultStore, StoredOutcome, trial_key
+# ``trial_key`` is not called here.  It stays importable under this name
+# because the benchmark's layer tracer (perfbench/tracer.py) wraps
+# ``repro.campaign.runner.trial_key`` and fails if the name is missing.
+from repro.campaign.store import (
+    ResultStore,
+    StoredOutcome,
+    trial_key,
+    trial_keys,
+)
 from repro.faults.resilience import ResiliencePolicy
 from repro.runtime.pool import TrialPool
 from repro.runtime.tasks import TrialFailure, run_trial
@@ -200,8 +208,7 @@ class CampaignRunner:
                 for position, ref in enumerate(refs)
                 if self.shard.covers(position)
             ]
-        keys = [trial_key(ref.trial) for ref in refs]
-        return refs, keys
+        return refs, trial_keys([ref.trial for ref in refs])
 
     def status(self) -> CampaignStatus:
         """Cached/pending accounting without executing anything."""

@@ -36,6 +36,7 @@ import hashlib
 import json
 import os
 import warnings
+from json.encoder import encode_basestring_ascii
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro import __version__ as REPRO_VERSION
@@ -79,9 +80,12 @@ def canonical_encode(obj):
     raise TypeError(f"cannot canonically encode {type(obj).__name__}")
 
 
+def _json_text(payload) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
 def _digest(payload) -> str:
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
+    return hashlib.sha256(_json_text(payload).encode()).hexdigest()
 
 
 def trial_key(trial, version: str = REPRO_VERSION) -> str:
@@ -98,6 +102,88 @@ def trial_key(trial, version: str = REPRO_VERSION) -> str:
             "trial": canonical_encode(trial),
         }
     )
+
+
+#: The leaf types trial payloads are made of, and their JSON text as
+#: ``_json_text`` writes it.
+_LEAVES = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda value: "null",
+}
+
+
+class _CanonicalText:
+    """``_json_text(canonical_encode(obj))``, built directly for dataclasses.
+
+    Dataclass texts are memoised by object identity for the encoder's
+    lifetime, so a ``MachineSpec`` shared by a cell's trials is encoded
+    once.  Identity, not equality: ``MachineSpec(seed=True)`` equals
+    ``MachineSpec(seed=1)`` but encodes ``true``, not ``1``.  The memo
+    holds each object, so an id cannot be reused while it is alive.
+    """
+
+    def __init__(self) -> None:
+        self._memo: Dict[int, Tuple[object, str]] = {}
+        self._layouts: Dict[type, Tuple[Tuple[str, Optional[str]], ...]] = {}
+
+    def _layout(self, cls: type) -> Tuple[Tuple[str, Optional[str]], ...]:
+        """*cls*'s members in sorted-key order, as ``(text, attribute)``:
+        *text* is a field's ``"name":`` prefix, or the whole
+        ``"__type__":"Name"`` member when *attribute* is None."""
+        layout = self._layouts.get(cls)
+        if layout is None:
+            # canonical_encode's {"__type__": ..., **fields}: a field named
+            # __type__ would win the key, so resolve the members the same way.
+            members: Dict[str, Optional[str]] = {"__type__": None}
+            for field in dataclasses.fields(cls):
+                members[field.name] = field.name
+            layout = self._layouts[cls] = tuple(
+                (
+                    encode_basestring_ascii(name) + ":"
+                    + ("" if attr is not None else encode_basestring_ascii(cls.__name__)),
+                    attr,
+                )
+                for name, attr in sorted(members.items())
+            )
+        return layout
+
+    def __call__(self, obj) -> str:
+        leaf = _LEAVES.get(type(obj))
+        if leaf is not None:
+            return leaf(obj)
+        if not dataclasses.is_dataclass(obj) or isinstance(obj, type):
+            # Floats, bytes, containers, subclassed leaves: rare in a
+            # payload, so they take the reference path.
+            return _json_text(canonical_encode(obj))
+        hit = self._memo.get(id(obj))
+        if hit is not None:
+            return hit[1]
+        text = "{" + ",".join([
+            prefix if attr is None else prefix + self(getattr(obj, attr))
+            for prefix, attr in self._layout(type(obj))
+        ]) + "}"
+        self._memo[id(obj)] = (obj, text)
+        return text
+
+
+def trial_keys(trials: Iterable, version: str = REPRO_VERSION) -> List[str]:
+    """``[trial_key(trial, version) for trial in trials]``, byte for byte.
+
+    The batched path the runner uses: it writes the canonical JSON text
+    directly instead of building ``canonical_encode`` dicts and dumping
+    them, and encodes each shared dataclass once per call.
+    ``trial_key`` stays the reference it is tested against.
+    """
+    encode = _CanonicalText()
+    head = '{"format":' + encode(STORE_FORMAT) + ',"trial":'
+    tail = ',"version":' + encode(version) + "}"
+    sha256 = hashlib.sha256
+    return [
+        sha256((head + encode(trial) + tail).encode()).hexdigest()
+        for trial in trials
+    ]
 
 
 def spec_digest(spec) -> str:
@@ -132,10 +218,22 @@ def _record_sum(key: str, body: dict) -> str:
     trial's address -- fails verification at load time instead of
     replaying a wrong result.
     """
-    text = json.dumps(
-        {"key": key, **body}, sort_keys=True, separators=(",", ":")
-    )
+    text = _json_text({"key": key, **body})
     return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _sum_of_text(line: str) -> Optional[str]:
+    """The checksum a record *line* must carry, computed from its text.
+
+    Records are written canonically and ``sum`` sorts last, so a sound
+    line minus its trailing ``,"sum":"<16 hex>"`` is exactly the text
+    ``_record_sum`` hashed, and load needs no re-encode.  None when the
+    line does not end that way, which no written record can.
+    """
+    head, member, tail = line.rpartition(',"sum":"')
+    if not member or len(tail) != 18 or not tail.endswith('"}'):
+        return None
+    return hashlib.sha256((head + "}").encode()).hexdigest()[:16]
 
 
 # -- the on-disk store ---------------------------------------------------------
@@ -179,7 +277,7 @@ class ResultStore:
             }
             if len(body) != 1:
                 raise ValueError("record needs exactly one of result/failure")
-            if record["sum"] != _record_sum(key, body):
+            if record["sum"] != _sum_of_text(line):
                 raise ValueError("record checksum mismatch")
             if "failure" in body:
                 failure = body["failure"]
@@ -229,11 +327,7 @@ class ResultStore:
         overrides this to damage the bytes between encoding and disk.
         """
         body = _outcome_body(outcome)
-        return json.dumps(
-            {"key": key, **body, "sum": _record_sum(key, body)},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        return _json_text({"key": key, **body, "sum": _record_sum(key, body)})
 
     def put(self, key: str, outcome: StoredOutcome) -> None:
         """Record one outcome (appends and flushes -- a checkpoint)."""

@@ -118,14 +118,14 @@ class StreamingDetector:
         finished segment, and the dedup above makes the full-store merge
         pass at the end a no-op for already-seen trials.
         """
-        from repro.campaign.store import trial_key
+        from repro.campaign.store import trial_keys
 
         refs = self.spec.expand()
         if shard is not None:
             refs = [
                 ref for position, ref in enumerate(refs) if shard.covers(position)
             ]
-        keys = [trial_key(ref.trial) for ref in refs]
+        keys = trial_keys([ref.trial for ref in refs])
         cached = store.get_many(keys)
         ingested = 0
         for ref, key in zip(refs, keys):

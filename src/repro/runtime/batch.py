@@ -59,6 +59,7 @@ diverge by *address* rather than by register value:
 
 from __future__ import annotations
 
+import functools
 import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -67,11 +68,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro import telemetry
 from repro.isa.opcodes import Op
 from repro.isa.registers import GPRS, MASK64
-
-try:  # optional SoA math backend -- never a hard dependency
-    import numpy as _np
-except ImportError:  # pragma: no cover - depends on host environment
-    _np = None
 
 #: Sentinel for "the leader's value of this register is not tracked"
 #: (only ever true after a syscall handler may have rewritten it).
@@ -84,12 +80,26 @@ _ABSENT = object()
 _NUMPY_MIN_LANES = 8
 
 
+@functools.lru_cache(maxsize=None)
+def _numpy():
+    """The optional SoA math backend, imported on first use (None if absent).
+
+    Never a hard dependency, and never loaded by a process that builds no
+    wide pack: a cached campaign rerun does not pay numpy's import.
+    """
+    try:
+        import numpy
+    except ImportError:  # pragma: no cover - depends on host environment
+        return None
+    return numpy
+
+
 def _numpy_available() -> bool:
     """Whether the numpy ALU backend may be used (env-overridable)."""
     flag = os.environ.get("REPRO_BATCH_NUMPY")
     if flag is not None and flag.strip().lower() in ("0", "false", "no", "off"):
         return False
-    return _np is not None
+    return _numpy() is not None
 
 
 @dataclass
@@ -153,9 +163,10 @@ def _alu_lanes_np(
     op: Op, lefts: Sequence[int], rights: Sequence[int]
 ) -> Tuple[List[int], List[bool]]:
     """Numpy uint64 lane math; wraps exactly like the masked python path."""
-    left = _np.array(lefts, dtype=_np.uint64)
-    right = _np.array(rights, dtype=_np.uint64)
-    with _np.errstate(over="ignore"):
+    np = _numpy()
+    left = np.array(lefts, dtype=np.uint64)
+    right = np.array(rights, dtype=np.uint64)
+    with np.errstate(over="ignore"):
         if op is Op.ADD:
             result = left + right
             carry = result < left  # unsigned wrap <=> sum exceeded 2**64-1
@@ -164,19 +175,19 @@ def _alu_lanes_np(
             carry = left < right
         elif op in (Op.AND, Op.TEST):
             result = left & right
-            carry = _np.zeros(len(lefts), dtype=bool)
+            carry = np.zeros(len(lefts), dtype=bool)
         elif op is Op.OR:
             result = left | right
-            carry = _np.zeros(len(lefts), dtype=bool)
+            carry = np.zeros(len(lefts), dtype=bool)
         elif op is Op.XOR:
             result = left ^ right
-            carry = _np.zeros(len(lefts), dtype=bool)
+            carry = np.zeros(len(lefts), dtype=bool)
         elif op is Op.SHL:
-            result = left << (right & _np.uint64(63))
-            carry = _np.zeros(len(lefts), dtype=bool)
+            result = left << (right & np.uint64(63))
+            carry = np.zeros(len(lefts), dtype=bool)
         else:  # Op.SHR
-            result = left >> (right & _np.uint64(63))
-            carry = _np.zeros(len(lefts), dtype=bool)
+            result = left >> (right & np.uint64(63))
+            carry = np.zeros(len(lefts), dtype=bool)
     return [int(value) for value in result], [bool(c) for c in carry]
 
 
@@ -249,7 +260,7 @@ class LockstepBatch:
         #: the divergent bytes were live survive architectural rollback, so
         #: any later fault could MDS-forward lane-divergent data.
         self.mem_ever_tainted = False
-        self.use_numpy = _numpy_available() and lanes >= _NUMPY_MIN_LANES
+        self.use_numpy = lanes >= _NUMPY_MIN_LANES and _numpy_available()
         #: Armed for KASLR-style packs: per-lane page-table/TLB models
         #: that prove a follower's *divergent faulting* translation is
         #: cycle-isomorphic to the leader's instead of evicting it.

@@ -9,12 +9,13 @@ not-trigger paths.  Both are derived here from a run's uop records.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.uarch.core import RunResult
 from repro.uarch.uop import UopRecord
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -64,8 +65,11 @@ def control_flow_graph(result: RunResult) -> nx.DiGraph:
     Nodes are instruction addresses with ``mnemonic`` and per-path uop
     counters (``committed_visits`` / ``transient_visits``); edges carry
     ``committed`` / ``transient`` traversal counts.  Squashed records are
-    the transient path.
+    the transient path.  ``networkx`` is imported here, on first use, so
+    that no other command pays for loading it.
     """
+    import networkx as nx
+
     if result.records is None:
         raise ValueError("run was not traced; pass record_trace=True")
     graph = nx.DiGraph()

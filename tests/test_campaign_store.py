@@ -8,19 +8,25 @@ result.
 """
 
 import dataclasses
+import enum
+import json
 
 import pytest
 
 from repro.campaign import (
+    BUILTIN_CAMPAIGNS,
     CampaignSpec,
     ResultStore,
+    builtin_campaign,
     canonical_encode,
     channel_cell,
     kaslr_cell,
     spec_digest,
     trial_key,
+    trial_keys,
 )
-from repro.runtime import ChannelTrial, MachineSpec, TrialResult
+from repro.campaign.store import _outcome_body, _record_sum, _sum_of_text
+from repro.runtime import ChannelTrial, MachineSpec, TrialFailure, TrialResult
 
 
 def make_trial(**overrides) -> ChannelTrial:
@@ -57,6 +63,95 @@ class TestTrialKey:
         key = trial_key(make_trial())
         assert len(key) == 64
         int(key, 16)
+
+
+class Color(enum.IntEnum):
+    RED = 3
+
+
+@dataclasses.dataclass(frozen=True)
+class Awkward:
+    """Leaves and containers ``trial_keys`` writes by hand, with field
+    names that sort around ``__type__`` and each other."""
+
+    a: object = None
+    a1: object = 1
+    Zed: object = "Z"
+    blob: object = b""
+    nested: object = ()
+    table: object = dataclasses.field(default_factory=dict)
+    ratio: object = 0.0
+
+
+ADVERSARIAL = [
+    Awkward(),
+    Awkward(a=True, a1=False, Zed=None),
+    Awkward(blob=b"\x00\xff", nested=(1, (2, [3, (b"\x01",)]), []), ratio=-0.0),
+    Awkward(table={"b": 1, "a": (None, 2.5), "a b": 0, 3: "three", "3": "str-three"}),
+    Awkward(table={}, nested=((), {}), a=bytearray(b"ab")),
+    Awkward(ratio=1e300, a=float("inf"), a1=float("-inf"), Zed=float("nan")),
+    Awkward(ratio=0.1, a=2**70, a1=-(2**63), Zed=Color.RED),
+    Awkward(Zed='quote " slash \\ tab \t nul \x00 snowman ☃ astral \U0001f600'),
+    Awkward(a=MachineSpec(seed=True), a1=MachineSpec(seed=1)),
+    Awkward(a=make_trial(), nested=(make_trial(), make_trial(seed=None))),
+    dataclasses.make_dataclass("Shadowed", [("__type__", str), ("x", int)])("mine", 1),
+    ChannelTrial(
+        spec=MachineSpec(secret=b"\x53", noise_amplitude=2),
+        byte=0, test=0, batches=1, trial_index=0, suppression="tsx",
+    ),
+]
+
+
+class TestBatchedKeys:
+    """``trial_keys`` is ``trial_key`` over a list, byte for byte."""
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_CAMPAIGNS))
+    def test_builtin_campaigns(self, name):
+        trials = [ref.trial for ref in builtin_campaign(name).expand()]
+        assert trial_keys(trials) == [trial_key(trial) for trial in trials]
+
+    def test_adversarial_payloads(self):
+        assert trial_keys(ADVERSARIAL) == [trial_key(p) for p in ADVERSARIAL]
+        assert trial_keys(ADVERSARIAL, version="9.9.9") == [
+            trial_key(p, version="9.9.9") for p in ADVERSARIAL
+        ]
+
+    def test_true_and_one_seeds_stay_distinct(self):
+        # MachineSpec(seed=True) == MachineSpec(seed=1), so a memo keyed
+        # by equality would hand both trials the first one's text.
+        as_bool, as_int = make_trial(seed=True), make_trial(seed=1)
+        assert as_bool == as_int
+        for pair in ([as_bool, as_int], [as_int, as_bool]):
+            keys = trial_keys(pair)
+            assert keys == [trial_key(trial) for trial in pair]
+            assert keys[0] != keys[1]
+
+    def test_shared_and_equal_but_distinct_specs(self):
+        spec = MachineSpec(model="i9-13900K", seed=4)
+        twin = MachineSpec(model="i9-13900K", seed=4)
+        assert spec == twin and spec is not twin
+        trials = [
+            ChannelTrial(spec=machine, byte=1, test=test, batches=2, trial_index=test)
+            for test in range(3)
+            for machine in (spec, twin)
+        ]
+        keys = trial_keys(trials)
+        assert keys == [trial_key(trial) for trial in trials]
+        assert keys[0::2] == keys[1::2]
+
+    def test_empty(self):
+        assert trial_keys([]) == []
+
+    def test_unencodable_raises(self):
+        with pytest.raises(TypeError):
+            trial_keys([Awkward(a=object())])
+
+    def test_pinned_literal_key(self):
+        # Changing both paths together must still fail: this is the key
+        # every store written so far holds for this payload.
+        pinned = "bb8ff7745b3a72462e8b885b92ff6da36c333f62f9fdc621902a15304c31ea3e"
+        assert trial_key(make_trial(), version="1.0.0") == pinned
+        assert trial_keys([make_trial()], version="1.0.0") == [pinned]
 
 
 class TestCanonicalEncoding:
@@ -175,3 +270,33 @@ class TestCorruptRecords:
         with open(store.path, "a") as handle:
             handle.write("\n\n")
         assert len(ResultStore(str(tmp_path))) == 1
+
+    def test_damaged_value_fails_the_checksum(self, tmp_path):
+        store = self.fill(tmp_path, count=1)
+        text = open(store.path).read()
+        assert '"cycles":0' in text
+        open(store.path, "w").write(text.replace('"cycles":0', '"cycles":7'))
+        with pytest.warns(UserWarning, match="checksum mismatch"):
+            assert ResultStore(str(tmp_path)).get("k0") is None
+
+    def test_non_canonical_layout_is_rejected(self, tmp_path):
+        # Load verifies a line's own text, so only the writer's exact
+        # layout passes, even when the parsed record is unchanged.
+        store = self.fill(tmp_path, count=1)
+        record = json.loads(open(store.path).read())
+        open(store.path, "w").write(json.dumps(record) + "\n")
+        with pytest.warns(UserWarning, match="checksum mismatch"):
+            assert ResultStore(str(tmp_path)).get("k0") is None
+
+    @pytest.mark.parametrize(
+        "outcome",
+        [
+            TrialResult(totes=(0, 5, 1 << 40), cycles=12),
+            TrialFailure(attempts=3, faults=("crash", "hang"), error='é "q"\n'),
+        ],
+    )
+    def test_written_line_text_hashes_to_its_sum(self, tmp_path, outcome):
+        line = ResultStore(str(tmp_path))._encode_record("k\u2603", outcome)
+        expected = _record_sum("k\u2603", _outcome_body(outcome))
+        assert _sum_of_text(line) == expected
+        assert json.loads(line)["sum"] == expected

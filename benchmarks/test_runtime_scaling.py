@@ -25,7 +25,7 @@ import warnings
 from benchmarks.conftest import banner, emit, emit_metric
 from repro.perf import cell_payloads
 from repro.runtime import TrialPool, default_workers
-from repro.runtime.batch import BatchStats, _numpy_available, run_trials_batched
+from repro.runtime.batch import BatchStats, run_trials_batched
 from repro.runtime.tasks import clear_worker_contexts, run_trial
 from repro.sim.machine import Machine
 from repro.whisper.channel import TetCovertChannel
@@ -116,9 +116,6 @@ def run_batched_cell(batch: int):
         run_trials_batched(payloads[:3], batch)  # warm contexts and caches
     else:
         run_trials_batched(payloads[:3], batch, stats)
-    # numpy loads lazily on the first pack of 8+ lanes; the 3-trial
-    # warm-up builds none, so finish that set-up before timing too.
-    _numpy_available()
     start = time.perf_counter()
     results = run_trials_batched(payloads, batch, stats)
     elapsed = time.perf_counter() - start
@@ -169,9 +166,6 @@ def run_batched_kaslr_cell(batch: int):
         run_trials_batched(payloads[:3], batch)  # warm contexts and caches
     else:
         run_trials_batched(payloads[:3], batch, stats)
-    # numpy loads lazily on the first pack of 8+ lanes; the 3-trial
-    # warm-up builds none, so finish that set-up before timing too.
-    _numpy_available()
     start = time.perf_counter()
     results = run_trials_batched(payloads, batch, stats)
     elapsed = time.perf_counter() - start

@@ -1195,7 +1195,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="time the lockstep batch executor with B lanes per pack "
         "instead of the scalar path (results are byte-identical; gates "
         "against the baseline's batch_scores entry, or kaslr_batch_scores "
-        "for a KASLR cell)",
+        "for a KASLR cell, for B lanes and the leader-cache mode)",
     )
     pbench.add_argument(
         "--no-leader-cache", action="store_true",

@@ -24,7 +24,7 @@ def user_mapped_slots(
     512 slots; this predicts which of those candidates resolve to a
     mapped page from user space -- the whole image without KPTI, exactly
     the 4 KiB trampoline remnant with it.  The batch executor's KASLR
-    packs evict precisely these lanes to the scalar path (a mapped
+    packs evict precisely these lanes from a sweep pack (a mapped
     candidate's walk cannot be isomorphic to an unmapped leader's), so
     tests and capacity planning read the expected eviction set from
     here.

@@ -305,14 +305,17 @@ def run_bench(
     pre-overhaul reference score is carried forward).
 
     ``batch > 1`` benches the lockstep batch executor.  Batched scores
-    gate against the baseline's ``batch_scores[str(batch)]`` entry (the
-    scalar ``normalized_score`` stays the scalar path's gate), and
+    gate against the baseline's ``batch_scores[str(batch)]`` entry, or
+    ``batch_scores[f"{batch}-nocache"]`` with the leader trace cache
+    off (the scalar ``normalized_score`` stays the scalar path's gate), and
     ``update_baseline`` writes into that map without disturbing the
     scalar record.  KASLR cells gate against a separate
     ``kaslr_batch_scores`` map -- the translation-shadow pack runner and
     the channel pack runner have unrelated cost structures, so one map
     cannot gate both (see :func:`_cell_kind`).
     """
+    from repro.runtime.batch import leader_cache_enabled
+
     if quick:
         trials = min(trials, 16)
         repeats = min(repeats, 3)
@@ -329,6 +332,10 @@ def run_bench(
         "kaslr_batch_scores" if _cell_kind(campaign, cell) == "kaslr"
         else "batch_scores"
     )
+    # Batched scores are keyed by lane count and leader-cache mode: a
+    # cache-off run re-executes every leader and must never be judged
+    # against the cached score.
+    score_key = str(lanes) if leader_cache_enabled() else f"{lanes}-nocache"
     kaslr_gate = lanes > 1 and batch_map == "kaslr_batch_scores"
     reference_score = baseline.get("reference_normalized_score") if baseline else None
     baseline_score = baseline.get("normalized_score") if baseline else None
@@ -349,7 +356,7 @@ def run_bench(
                 f"{recorded[1]}; gate skipped for {campaign}/cell{cell}"
             )
         else:
-            baseline_score = (baseline or {}).get(batch_map, {}).get(str(lanes))
+            baseline_score = (baseline or {}).get(batch_map, {}).get(score_key)
     elif baseline is not None and (
         baseline.get("campaign"), baseline.get("cell")
     ) != (campaign, cell):
@@ -363,7 +370,7 @@ def run_bench(
         # A batched measurement must never be judged against the scalar
         # score (it would always "pass"); its gate is its own lane-count
         # entry, recorded the first time --update-baseline runs batched.
-        baseline_score = (baseline or {}).get(batch_map, {}).get(str(lanes))
+        baseline_score = (baseline or {}).get(batch_map, {}).get(score_key)
 
     speedup = score / reference_score if reference_score else None
     ratio = score / baseline_score if baseline_score else None
@@ -409,7 +416,7 @@ def run_bench(
         record = dict(baseline) if baseline else {"campaign": campaign, "cell": cell}
         if lanes > 1:
             scores = dict(record.get(batch_map, {}))
-            scores[str(lanes)] = round(score, 2)
+            scores[score_key] = round(score, 2)
             record[batch_map] = scores
             if kaslr_gate:
                 record["kaslr_campaign"] = campaign
@@ -433,7 +440,7 @@ def run_bench(
         out(f"  no baseline at {baseline_path}; run with --update-baseline "
             f"to record one")
     elif lanes > 1 and baseline_score is None:
-        out(f"  no {batch_map} batch-{lanes} entry in {baseline_path}; "
+        out(f"  no {batch_map}[{score_key!r}] entry in {baseline_path}; "
             f"run with --update-baseline to record one")
 
     # The telemetry probe runs outside every timed window: a short

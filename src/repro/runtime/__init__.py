@@ -14,9 +14,9 @@ aggregate.  This package turns that shape into throughput:
   TET-CC byte scan and the TET-KASLR probe sweep;
 * :mod:`repro.runtime.batch` -- the lockstep batch executor
   (:class:`LockstepBatch`): N pack-eligible trials stepped over one
-  shared leader execution, divergent lanes evicted to the scalar path,
-  results byte-identical to scalar dispatch (``TrialPool(batch_size=N)``
-  turns it on).
+  shared leader execution, divergent lanes re-packed (a lone one runs
+  scalar), results byte-identical to scalar dispatch
+  (``TrialPool(batch_size=N)`` turns it on).
 
 See ``docs/RUNTIME.md`` for the architecture and a worked example, and
 ``docs/FAULTS.md`` for the failure model.
@@ -26,7 +26,7 @@ from repro.runtime.batch import (
     BatchStats,
     LockstepBatch,
     plan_packs,
-    run_channel_pack,
+    run_pack,
     run_trial_group,
     run_trials_batched,
 )
@@ -71,10 +71,10 @@ __all__ = [
     "derive_seed",
     "derive_stream",
     "plan_packs",
-    "run_channel_pack",
     "run_channel_trial",
     "run_detect_trial",
     "run_kaslr_trial",
+    "run_pack",
     "run_trial",
     "run_trial_group",
     "run_trials_batched",

@@ -15,9 +15,8 @@ per-lane value vector.  Everything *not* tainted is known to be equal in
 every lane, so the leader's journals, PMU counts, and cycle timeline
 stand in for all lanes at zero cost.  Per-record processing applies the
 scalar core's exact value semantics (``_op_alu`` carries, ``&63`` shift
-masks, little-endian memory) to the tainted vectors -- optionally through
-numpy ``uint64`` arrays for wide packs -- and follows the engine's
-squash schedule via the :class:`~repro.uarch.uop.ResolutionEvent`
+masks, little-endian memory) to the tainted vectors and follows the
+engine's squash schedule via the :class:`~repro.uarch.uop.ResolutionEvent`
 breadcrumbs so rolled-back transient writes are rolled back in the
 shadow too.
 
@@ -26,11 +25,13 @@ cycle-identical to the leader's: a memory access whose effective address
 diverges, a conditional branch whose tainted flags resolve differently,
 a tainted value reaching a syscall, or a fault that could forward
 lane-divergent data (stale LFB lines survive architectural rollback, so
-any fault after memory has ever been tainted evicts).  Evicted lanes are
-re-run through the ordinary scalar trial function, which the trial
+any fault after memory has ever been tainted evicts).  Two or more
+evicted lanes re-run as a new pack led by the first of them (a live
+leader always survives, so the recursion ends); a lone evicted lane
+re-runs through the ordinary scalar trial function, which the trial
 purity contract (see ``runtime/pool.py``) makes exact.  The scalar
 ``decode_plan=False`` core therefore remains the bit-identity oracle:
-every lane's bytes either *are* the leader's trace or come from the
+every lane's bytes either *are* a leader's trace or come from the
 scalar path directly.
 
 Two further layers extend the engine to KASLR probe sweeps, whose lanes
@@ -59,7 +60,6 @@ diverge by *address* rather than by register value:
 
 from __future__ import annotations
 
-import functools
 import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -75,41 +75,19 @@ _UNKNOWN = object()
 #: Sentinel distinguishing "key absent" from "stored None" in journals.
 _ABSENT = object()
 
-#: Minimum lane count before the numpy backend pays for its conversion
-#: overhead (narrow packs stay on plain-int lists).
-_NUMPY_MIN_LANES = 8
-
-
-@functools.lru_cache(maxsize=None)
-def _numpy():
-    """The optional SoA math backend, imported on first use (None if absent).
-
-    Never a hard dependency, and never loaded by a process that builds no
-    wide pack: a cached campaign rerun does not pay numpy's import.
-    """
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - depends on host environment
-        return None
-    return numpy
-
-
-def _numpy_available() -> bool:
-    """Whether the numpy ALU backend may be used (env-overridable)."""
-    flag = os.environ.get("REPRO_BATCH_NUMPY")
-    if flag is not None and flag.strip().lower() in ("0", "false", "no", "off"):
-        return False
-    return _numpy() is not None
-
-
 @dataclass
 class BatchStats:
     """Mutable counters a caller may pass to observe batching behaviour."""
 
     packs: int = 0
     packed_trials: int = 0
+    #: Trials run one at a time: singletons, and lone evicted lanes
+    #: (inside packs, ``evicted_lanes - repacked_lanes``).
     scalar_trials: int = 0
+    #: Lanes the shadow evicted, in packs and in re-packs alike.
     evicted_lanes: int = 0
+    #: Evicted lanes that re-ran as a new pack instead of scalar.
+    repacked_lanes: int = 0
     #: Eviction counts per reason (the taxonomy in ``_SHADOW`` handlers
     #: plus the translation shadow's); keys are reason strings.
     evictions: Dict[str, int] = field(default_factory=dict)
@@ -128,7 +106,6 @@ class BatchStats:
         self.packs += 1
         self.packed_trials += alive
         self.evicted_lanes += real - alive
-        self.scalar_trials += real - alive
         for lane, reason in batch.evict_reasons.items():
             if lane >= offset:
                 self.evictions[reason] = self.evictions.get(reason, 0) + 1
@@ -159,43 +136,9 @@ def _alu_scalar(op: Op, left: int, right: int) -> Tuple[int, bool]:
     return result & MASK64, carry
 
 
-def _alu_lanes_np(
+def _alu_lanes(
     op: Op, lefts: Sequence[int], rights: Sequence[int]
 ) -> Tuple[List[int], List[bool]]:
-    """Numpy uint64 lane math; wraps exactly like the masked python path."""
-    np = _numpy()
-    left = np.array(lefts, dtype=np.uint64)
-    right = np.array(rights, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        if op is Op.ADD:
-            result = left + right
-            carry = result < left  # unsigned wrap <=> sum exceeded 2**64-1
-        elif op in (Op.SUB, Op.CMP):
-            result = left - right
-            carry = left < right
-        elif op in (Op.AND, Op.TEST):
-            result = left & right
-            carry = np.zeros(len(lefts), dtype=bool)
-        elif op is Op.OR:
-            result = left | right
-            carry = np.zeros(len(lefts), dtype=bool)
-        elif op is Op.XOR:
-            result = left ^ right
-            carry = np.zeros(len(lefts), dtype=bool)
-        elif op is Op.SHL:
-            result = left << (right & np.uint64(63))
-            carry = np.zeros(len(lefts), dtype=bool)
-        else:  # Op.SHR
-            result = left >> (right & np.uint64(63))
-            carry = np.zeros(len(lefts), dtype=bool)
-    return [int(value) for value in result], [bool(c) for c in carry]
-
-
-def _alu_lanes(
-    op: Op, lefts: Sequence[int], rights: Sequence[int], use_numpy: bool
-) -> Tuple[List[int], List[bool]]:
-    if use_numpy:
-        return _alu_lanes_np(op, lefts, rights)
     results: List[int] = []
     carries: List[bool] = []
     for left, right in zip(lefts, rights):
@@ -248,7 +191,7 @@ class LockstepBatch:
         self.program = program
         self.lanes = lanes
         #: Lane liveness; evictions are permanent for the batch's lifetime
-        #: (an evicted lane's trial re-runs scalar, never partially).
+        #: (an evicted lane's trial re-runs whole, never partially).
         self.alive: List[bool] = [True] * lanes
         #: lane -> first eviction reason (debugging / stats).
         self.evict_reasons: Dict[int, str] = {}
@@ -260,7 +203,6 @@ class LockstepBatch:
         #: the divergent bytes were live survive architectural rollback, so
         #: any later fault could MDS-forward lane-divergent data.
         self.mem_ever_tainted = False
-        self.use_numpy = lanes >= _NUMPY_MIN_LANES and _numpy_available()
         #: Armed for KASLR-style packs: per-lane page-table/TLB models
         #: that prove a follower's *divergent faulting* translation is
         #: cycle-isomorphic to the leader's instead of evicting it.
@@ -549,7 +491,7 @@ class LockstepBatch:
             rights = [leader_right] * self.lanes
         else:
             rights = [ins.imm & MASK64] * self.lanes
-        results, carries = _alu_lanes(op, lefts, rights, self.use_numpy)
+        results, carries = _alu_lanes(op, lefts, rights)
         if writes and record.dest_value is not None and results[0] != record.dest_value:
             # Shadow/engine disagreement on the leader lane can only be a
             # shadow bug; degrade to scalar rather than corrupt a lane.
@@ -835,8 +777,8 @@ class TranslationShadow:
 
     A lane that passes every check has a translation timeline
     cycle-identical to the leader's, so the leader's ToTE/PMU/cycle
-    bytes are the lane's.  A lane that fails any check is evicted to the
-    scalar path -- byte identity holds by construction either way.
+    bytes are the lane's.  A lane that fails any check is evicted and
+    re-runs whole -- byte identity holds by construction either way.
     """
 
     def __init__(self, mmu, lanes: int) -> None:
@@ -1109,7 +1051,7 @@ def _leader_trace_store(key: tuple, trace: LeaderTrace) -> None:
         _leader_traces.popitem(last=False)
 
 
-# -- channel-trial packs -------------------------------------------------------
+# -- pack planning -------------------------------------------------------------
 
 
 def pack_eligible(trial) -> bool:
@@ -1195,120 +1137,79 @@ def plan_packs(payloads: Sequence, batch_size: int) -> List[list]:
     return groups
 
 
-def run_channel_pack(trials: Sequence, stats: Optional[BatchStats] = None) -> List:
-    """Run a pack of structurally identical channel trials in lockstep.
+# -- pack runners --------------------------------------------------------------
 
-    The leader (``trials[0]``) executes its trial for real; every other
-    lane is the same trial with a different test value, reconstructed
-    from the leader's trace.  Lanes the shadow evicts (the matching test
-    byte whose Jcc really does go the other way) re-run through the
-    ordinary scalar path, so every returned
-    :class:`~repro.runtime.tasks.TrialResult` is byte-identical to a
-    scalar run of its payload.
+
+def _channel_lanes(trials: Sequence, stats: Optional[BatchStats], cache: bool) -> List:
+    """One lockstep pass over a pack of structurally identical channel
+    trials; evicted lanes come back as ``None``.
+
+    The leader (``trials[0]``) executes its trial for real, or is a
+    phantom replay of the cached sweep leader when *cache* allows; every
+    other lane is the same trial with a different test value,
+    reconstructed from the leader's trace.
     """
-    from repro.runtime.tasks import (
-        NULL_POINTER,
-        TrialResult,
-        _channel_context,
-        run_trial,
-    )
+    from repro.runtime.tasks import NULL_POINTER, TrialResult, _channel_context
 
     lead = trials[0]
     machine, program, sender_page = _channel_context(lead.spec, lead.suppression)
-    n = len(trials)
-    cached = _leader_trace_lookup(_pack_key(lead))
-    offset = 1 if cached is not None else 0
-    lanes = n + offset
+    batch, cached = _start_pack(machine, program, trials, cache)
+    offset = batch.lanes - len(trials)
     if cached is None:
-        machine.reset_uarch(noise_seed=lead.spec.trial_seed(lead.trial_index))
         machine.write_data(sender_page, bytes([lead.byte & 0xFF]) + b"\x00" * 7)
-    batch = LockstepBatch(machine, program, lanes)
-    if cached is not None:
-        batch.replay_source = cached.runs
-    elif leader_cache_enabled():
-        batch.trace_sink = []
     warm_regs = {"r12": sender_page, "r13": NULL_POINTER, "r9": 256}
-    warm_set = [warm_regs] * lanes
+    warm_set = [warm_regs] * batch.lanes
     # In phantom-leader mode slot 0 is a placeholder: run() swaps in the
     # cached leader's own initial registers before taint is computed.
     probe_set = [warm_regs] * offset + [
         {"r12": sender_page, "r13": NULL_POINTER, "r9": trial.test}
         for trial in trials
     ]
-    lane_totes: List[List[int]] = [[] for _ in range(lanes)]
+    lane_totes: List[List[int]] = [[] for _ in range(batch.lanes)]
     for _ in range(lead.batches):
         for _ in range(lead.warmup):
             batch.run(warm_set)
         probe = batch.run(probe_set)
-        for lane in range(offset, lanes):
+        for lane in range(offset, batch.lanes):
             if batch.alive[lane]:
                 lane_totes[lane].append(
                     probe.lane_reg(lane, "r15") - probe.lane_reg(lane, "r14")
                 )
     # The pack ran exactly one trial's worth of runs on one continuing
     # cycle timeline, so the leader's cycle count is every live lane's.
-    cycles = cached.cycles if cached is not None else machine.core.global_cycle
-    if batch.trace_sink is not None:
-        _leader_trace_store(
-            _pack_key(lead), LeaderTrace(runs=batch.trace_sink, cycles=cycles)
-        )
-    if stats is not None:
-        if cached is not None:
-            stats.leader_cache_hits += 1
-        elif batch.trace_sink is not None:
-            stats.leader_cache_misses += 1
-        stats.merge_pack(batch, offset)
-    results: List = [None] * n
-    for i in range(n):
-        lane = i + offset
-        if batch.alive[lane]:
-            results[i] = TrialResult(totes=tuple(lane_totes[lane]), cycles=cycles)
-    for i in range(n):
-        if results[i] is None:
-            # Scalar re-run on the same cached context: purity makes this
-            # exactly the result a scalar-only campaign computes.
-            results[i] = run_trial(trials[i])
-    return results
+    cycles = _finish_pack(batch, cached, trials, stats)
+    return [
+        TrialResult(totes=tuple(lane_totes[lane]), cycles=cycles)
+        if batch.alive[lane] else None
+        for lane in range(offset, batch.lanes)
+    ]
 
 
-# -- KASLR-trial packs ---------------------------------------------------------
+def _kaslr_lanes(trials: Sequence, stats: Optional[BatchStats], cache: bool) -> List:
+    """One lockstep pass over a pack of structurally identical KASLR
+    trials, one lane per probed candidate; evicted lanes come back as
+    ``None``.
 
-
-def run_kaslr_pack(trials: Sequence, stats: Optional[BatchStats] = None) -> List:
-    """Run a pack of structurally identical KASLR trials in lockstep.
-
-    One lane per probed candidate address.  The leader executes its
-    warm-reference probes and timed double-probe for real; every other
-    lane's translation is proven cycle-isomorphic by the
-    :class:`TranslationShadow` (the unmapped candidates, which share the
-    leader's walk shape) or evicted to the scalar path (the mapped
-    ones).  With the leader trace cache warm, even the leader execution
-    is skipped: the pack replays a cached same-structure leader as a
-    phantom lane 0.
+    The leader executes its warm-reference probes and timed double-probe
+    for real (or is a phantom replay of the cached sweep leader when
+    *cache* allows); every other lane's translation is proven
+    cycle-isomorphic by the :class:`TranslationShadow` -- the candidates
+    that share the leader's walk shape -- or evicted.
     """
     from repro.kernel.layout import KERNEL_TEXT_RANGE_START
-    from repro.runtime.tasks import TrialResult, _kaslr_context, run_trial
+    from repro.runtime.tasks import TrialResult, _kaslr_context
 
     lead = trials[0]
     attack = _kaslr_context(lead.spec, lead.eviction, lead.suppression)
     machine = attack.machine
-    n = len(trials)
-    cached = _leader_trace_lookup(_pack_key(lead))
-    offset = 1 if cached is not None else 0
-    lanes = n + offset
+    batch, cached = _start_pack(machine, attack.program, trials, cache)
+    offset = batch.lanes - len(trials)
     live = cached is None
-    if live:
-        machine.reset_uarch(noise_seed=lead.spec.trial_seed(lead.trial_index))
-    batch = LockstepBatch(machine, attack.program, lanes)
-    shadow = TranslationShadow(machine.mmu, lanes)
+    shadow = TranslationShadow(machine.mmu, batch.lanes)
     batch.translation_shadow = shadow
-    if cached is not None:
-        batch.replay_source = cached.runs
-    elif leader_cache_enabled():
-        batch.trace_sink = []
     reference = KERNEL_TEXT_RANGE_START - 0x200000
     ref_regs = {"r13": reference, "r9": 256}
-    ref_set = [ref_regs] * lanes
+    ref_set = [ref_regs] * batch.lanes
     probe_set = [ref_regs] * offset + [
         {"r13": trial.va, "r9": 256} for trial in trials
     ]
@@ -1332,38 +1233,90 @@ def run_kaslr_pack(trials: Sequence, stats: Optional[BatchStats] = None) -> List
         double_probe(ref_set)
     probe = double_probe(probe_set)
     shadow.finish(batch)
-    cycles = cached.cycles if cached is not None else machine.core.global_cycle
+    cycles = _finish_pack(batch, cached, trials, stats)
+    return [
+        TrialResult(
+            totes=(probe.lane_reg(lane, "r15") - probe.lane_reg(lane, "r14"),),
+            cycles=cycles,
+        )
+        if batch.alive[lane] else None
+        for lane in range(offset, batch.lanes)
+    ]
+
+
+def _start_pack(machine, program, trials: Sequence, cache: bool):
+    """The pack's :class:`LockstepBatch` and its cached sweep leader.
+
+    With a cache hit, lane 0 is a phantom replay of the cached leader and
+    the real trials occupy lanes 1..N; otherwise the first trial leads
+    live on a freshly reset machine (and is recorded for the cache when
+    *cache* allows).
+    """
+    lead = trials[0]
+    cached = _leader_trace_lookup(_pack_key(lead)) if cache else None
+    batch = LockstepBatch(machine, program, len(trials) + (cached is not None))
+    if cached is not None:
+        batch.replay_source = cached.runs
+    else:
+        machine.reset_uarch(noise_seed=lead.spec.trial_seed(lead.trial_index))
+        if cache and leader_cache_enabled():
+            batch.trace_sink = []
+    return batch, cached
+
+
+def _finish_pack(batch: LockstepBatch, cached, trials: Sequence, stats) -> int:
+    """Cache a recorded leader, fold the pack into *stats*, and return the
+    cycle count every live lane shares."""
+    cycles = cached.cycles if cached is not None else batch.machine.core.global_cycle
     if batch.trace_sink is not None:
         _leader_trace_store(
-            _pack_key(lead), LeaderTrace(runs=batch.trace_sink, cycles=cycles)
+            _pack_key(trials[0]), LeaderTrace(runs=batch.trace_sink, cycles=cycles)
         )
     if stats is not None:
         if cached is not None:
             stats.leader_cache_hits += 1
         elif batch.trace_sink is not None:
             stats.leader_cache_misses += 1
-        stats.merge_pack(batch, offset)
-    results: List = [None] * n
-    for i in range(n):
-        lane = i + offset
-        if batch.alive[lane]:
-            results[i] = TrialResult(
-                totes=(probe.lane_reg(lane, "r15") - probe.lane_reg(lane, "r14"),),
-                cycles=cycles,
-            )
-    for i in range(n):
-        if results[i] is None:
-            results[i] = run_trial(trials[i])
+        stats.merge_pack(batch, batch.lanes - len(trials))
+    return cycles
+
+
+def _run_pack(trials: Sequence, stats: Optional[BatchStats], cache: bool) -> List:
+    from repro.runtime.tasks import ChannelTrial, run_trial
+
+    lanes = _channel_lanes if isinstance(trials[0], ChannelTrial) else _kaslr_lanes
+    results = lanes(trials, stats, cache)
+    evicted = [i for i, result in enumerate(results) if result is None]
+    if len(evicted) > 1:
+        # Re-pack the evicted trials behind the first of them.  Its live
+        # leader always survives, so the set shrinks every round.  The
+        # sub-pack's structure is not the sweep leader's, so it neither
+        # reads nor writes the leader trace cache.
+        if stats is not None:
+            stats.repacked_lanes += len(evicted)
+        repacked = _run_pack([trials[i] for i in evicted], stats, cache=False)
+        for i, result in zip(evicted, repacked):
+            results[i] = result
+    elif evicted:
+        # A lone evicted lane re-runs scalar on the same cached context:
+        # purity makes this exactly the result a scalar-only campaign
+        # computes.
+        if stats is not None:
+            stats.scalar_trials += 1
+        results[evicted[0]] = run_trial(trials[evicted[0]])
     return results
 
 
 def run_pack(trials: Sequence, stats: Optional[BatchStats] = None) -> List:
-    """Run one homogeneous pack through its kind's pack runner."""
-    from repro.runtime.tasks import ChannelTrial
+    """Run one homogeneous pack of channel or KASLR trials in lockstep.
 
-    if isinstance(trials[0], ChannelTrial):
-        return run_channel_pack(trials, stats)
-    return run_kaslr_pack(trials, stats)
+    Lanes the shadow evicts (the matching test byte whose Jcc really
+    does go the other way, the mapped KASLR candidates) re-run as a new
+    pack, and a lone evicted lane through the ordinary scalar path, so
+    every returned :class:`~repro.runtime.tasks.TrialResult` is
+    byte-identical to a scalar run of its payload.
+    """
+    return _run_pack(trials, stats, cache=True)
 
 
 def run_trial_group(group: Sequence) -> List:
@@ -1380,6 +1333,7 @@ def run_trial_group(group: Sequence) -> List:
             results = run_pack(group, stats)
             span.set(
                 evicted=stats.evicted_lanes,
+                repacked=stats.repacked_lanes,
                 leader_cache_hits=stats.leader_cache_hits,
                 leader_cache_misses=stats.leader_cache_misses,
                 **{
@@ -1396,6 +1350,8 @@ def run_trial_group(group: Sequence) -> List:
             telemetry.add("batch.lanes.evicted", stats.evicted_lanes)
             for reason, evicted in sorted(stats.evictions.items()):
                 telemetry.add(f"batch.evicted.{reason}", evicted)
+        if stats.repacked_lanes:
+            telemetry.add("batch.lanes.repacked", stats.repacked_lanes)
         if stats.leader_cache_hits:
             telemetry.add("batch.leader_cache.hits", stats.leader_cache_hits)
         if stats.leader_cache_misses:

@@ -25,7 +25,7 @@ from repro.runtime.batch import (
     BatchStats,
     LockstepBatch,
     plan_packs,
-    run_channel_pack,
+    run_pack,
     run_trials_batched,
 )
 from repro.runtime.spec import MachineSpec
@@ -146,37 +146,6 @@ def test_seed_254_batch_path():
     check_batch_equals_scalar(254)
 
 
-def test_wide_pack_uses_numpy_backend_when_available():
-    """Above the lane threshold the SoA math may go through numpy; both
-    backends must produce identical shadow state."""
-    seed = 11
-    machine, page, program = _fresh_context(seed)
-    machine.reset_uarch(noise_seed=99)
-    machine.write_data(page, PAGE_IMAGE)
-    lanes = 9
-    lane_regs = _lane_regs(page, lanes)
-    batch = LockstepBatch(machine, program, lanes)
-    forced = []
-    for use_numpy in (False, batch.use_numpy):
-        m, p, prog = _fresh_context(seed)
-        m.reset_uarch(noise_seed=99)
-        m.write_data(p, PAGE_IMAGE)
-        b = LockstepBatch(m, prog, lanes)
-        b.use_numpy = use_numpy
-        run = b.run(_lane_regs(p, lanes))
-        forced.append(
-            (
-                tuple(b.alive),
-                tuple(
-                    tuple(run.lane_reg(lane, name) for name in GPRS)
-                    for lane in range(lanes)
-                    if b.alive[lane]
-                ),
-            )
-        )
-    assert forced[0] == forced[1]
-
-
 # -- trial-level identity ------------------------------------------------------
 
 
@@ -209,7 +178,7 @@ class TestChannelPackIdentity:
     def test_pack_results_positionally_aligned(self):
         payloads = _channel_payloads()
         clear_worker_contexts()
-        results = run_channel_pack(payloads[:6])
+        results = run_pack(payloads[:6])
         clear_worker_contexts()
         assert results == [run_trial(p) for p in payloads[:6]]
 
@@ -234,6 +203,73 @@ class TestChannelPackIdentity:
         payloads = _channel_payloads()[:4]
         groups = plan_packs(payloads, 1)
         assert all(len(g) == 1 for g in groups)
+
+
+# -- re-packing evicted lanes --------------------------------------------------
+
+
+def _channel_scan(tests):
+    spec = MachineSpec("i7-7700", seed=1)
+    return [
+        ChannelTrial(spec=spec, byte=7, test=test, batches=2, trial_index=index)
+        for index, test in enumerate(tests)
+    ]
+
+
+class TestRepack:
+    def test_two_matching_lanes_repack_together(self):
+        """Both lanes on the matching test value evict from the sweep
+        pack and then ride one re-pack: no scalar fallback at all."""
+        payloads = _channel_scan([0, 7, 3, 7, 5])
+        clear_worker_contexts()
+        scalar = [run_trial(p) for p in payloads]
+        clear_worker_contexts()
+        stats = BatchStats()
+        assert run_pack(payloads, stats) == scalar
+        assert stats.evicted_lanes == 2
+        assert stats.repacked_lanes == 2
+        assert stats.scalar_trials == 0
+        assert stats.packs == 2
+        clear_worker_contexts()
+
+    def test_pack_after_repack_hits_sweep_leader(self):
+        """A re-pack's leader is not the sweep's, so it must neither read
+        nor write the leader trace cache: the next sweep pack still
+        replays the sweep leader and evicts only its own matching lane."""
+        payloads = _channel_scan([0, 7, 3, 7] + [1, 2, 7, 4])
+        clear_worker_contexts()
+        scalar = [run_trial(p) for p in payloads]
+        clear_worker_contexts()
+        stats = BatchStats()
+        assert run_trials_batched(payloads, 4, stats) == scalar
+        assert (stats.leader_cache_misses, stats.leader_cache_hits) == (1, 1)
+        assert stats.evicted_lanes == 3
+        assert (stats.repacked_lanes, stats.scalar_trials) == (2, 1)
+        clear_worker_contexts()
+
+    def test_e3_matrix_kaslr_cells_need_no_scalar_fallback(self):
+        """Table 2's KASLR cells: every mapped slot the translation
+        shadow evicts re-packs behind a mapped leader, serially and
+        pooled, and every result is the scalar one."""
+        from repro.campaign.builtin import builtin_campaign
+        from repro.runtime import TrialPool
+
+        payloads = [
+            ref.trial
+            for ref in builtin_campaign("e3-matrix").expand()
+            if isinstance(ref.trial, KaslrTrial)
+        ]
+        clear_worker_contexts()
+        scalar = [run_trial(p) for p in payloads]
+        clear_worker_contexts()
+        stats = BatchStats()
+        assert run_trials_batched(payloads, 16, stats) == scalar
+        assert stats.evicted_lanes == stats.repacked_lanes > 0
+        assert stats.scalar_trials == 0
+        clear_worker_contexts()
+        with TrialPool(workers=2, batch_size=16) as pool:
+            assert pool.map(run_trial, payloads) == scalar
+        clear_worker_contexts()
 
 
 # -- KASLR pack identity (translation shadow + leader trace cache) -------------
@@ -273,11 +309,12 @@ def check_kaslr_batch_equals_scalar(
     batched = run_trials_batched(payloads, batch_size, stats)
     assert batched == scalar
     # Which slots actually resolve from user space this boot: exactly
-    # those lanes cannot be walk-isomorphic to an unmapped leader.
+    # those lanes cannot be walk-isomorphic to an unmapped leader, so a
+    # pack mixing the two must evict (a lone trailing trial is no pack).
     layout = _kaslr_layout(payloads[0].spec)
     mapped = user_mapped_slots(layout, kpti=True)
-    n_mapped = sum(1 for slot in slots if slot in mapped)
-    if 0 < n_mapped < len(slots):
+    packs = [slots[i:i + batch_size] for i in range(0, len(slots), batch_size)]
+    if any(0 < sum(slot in mapped for slot in pack) < len(pack) for pack in packs):
         assert stats.evictions.get("translation-divergence", 0) >= 1
     clear_worker_contexts()
     os.environ["REPRO_BATCH_LEADER_CACHE"] = "0"

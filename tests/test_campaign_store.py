@@ -10,6 +10,7 @@ result.
 import dataclasses
 import enum
 import json
+import random
 
 import pytest
 
@@ -25,8 +26,17 @@ from repro.campaign import (
     trial_key,
     trial_keys,
 )
-from repro.campaign.store import _outcome_body, _record_sum, _sum_of_text
+from repro.campaign import store as store_module
+from repro.campaign.store import _json_text, _outcome_body, _record_sum, _sum_of_text
 from repro.runtime import ChannelTrial, MachineSpec, TrialFailure, TrialResult
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:  # pragma: no cover - depends on environment
+    HAVE_HYPOTHESIS = False
 
 
 def make_trial(**overrides) -> ChannelTrial:
@@ -300,3 +310,104 @@ class TestCorruptRecords:
         expected = _record_sum("k\u2603", _outcome_body(outcome))
         assert _sum_of_text(line) == expected
         assert json.loads(line)["sum"] == expected
+
+
+# -- record text: the write path against its reference -------------------------
+
+
+def reference_line(key, outcome) -> str:
+    """The dict + ``json.dumps`` record encoding the text path must match."""
+    body = _outcome_body(outcome)
+    return _json_text({"key": key, **body, "sum": _record_sum(key, body)})
+
+
+def check_record_text(key, outcome):
+    line = ResultStore("unused")._encode_record(key, outcome)
+    assert line == reference_line(key, outcome)
+
+
+#: Edge ints: zero, signs, and values past every fixed width.
+EDGE_INTS = [0, 1, -1, 2**63 - 1, 2**64, -(2**63) - 1, 10**40, -(10**40)]
+
+
+def random_outcome(rng: random.Random):
+    def value():
+        return rng.choice(
+            [rng.choice(EDGE_INTS), rng.randint(-(2**70), 2**70), rng.random() < 0.5]
+        )
+
+    if rng.random() < 0.2:
+        return TrialFailure(
+            attempts=rng.randint(0, 5),
+            faults=tuple(rng.choice(["crash", "hang", "é\n"]) for _ in range(rng.randint(0, 3))),
+            error=rng.choice(["", 'boom "q"', "\u2603"]),
+        )
+    totes = tuple(
+        value() if rng.random() < 0.1 else rng.choice(EDGE_INTS)
+        for _ in range(rng.randint(0, 6))
+    )
+    return TrialResult(totes=totes, cycles=value())
+
+
+class TestRecordText:
+    @pytest.mark.parametrize(
+        "outcome",
+        [
+            TrialResult(totes=(), cycles=0),
+            TrialResult(totes=tuple(EDGE_INTS), cycles=-(10**40)),
+            TrialResult(totes=(True, 0), cycles=5),
+            TrialResult(totes=(1,), cycles=False),
+            TrialFailure(attempts=2, faults=("crash",), error="x"),
+        ],
+    )
+    def test_edge_records_match_the_reference(self, outcome):
+        check_record_text("k\u2603", outcome)
+
+    def test_seeded_records_match_the_reference(self):
+        rng = random.Random(0x5E7)
+        for _ in range(300):
+            check_record_text(rng.choice(["", "ab" * 32, "k\u2603\""]), random_outcome(rng))
+
+    def test_only_plain_int_results_skip_the_reference(self, monkeypatch):
+        """Int results are written as text; bools and failures, which the
+        text path would misrender, go through ``_record_sum``."""
+
+        def reference_only(key, body):
+            raise LookupError("reference encoder used")
+
+        monkeypatch.setattr(store_module, "_record_sum", reference_only)
+        store = ResultStore("unused")
+        store._encode_record("k", TrialResult(totes=(-1, 2**70), cycles=3))
+        for outcome in (
+            TrialResult(totes=(True,), cycles=3),
+            TrialResult(totes=(1,), cycles=True),
+            TrialFailure(attempts=1, faults=(), error=""),
+        ):
+            with pytest.raises(LookupError):
+                store._encode_record("k", outcome)
+
+
+if HAVE_HYPOTHESIS:
+    _values = st.one_of(st.integers(), st.booleans())
+    _outcomes = st.one_of(
+        st.builds(
+            TrialResult,
+            totes=st.lists(st.integers(), max_size=8).map(tuple),
+            cycles=st.integers(),
+        ),
+        st.builds(
+            TrialResult, totes=st.lists(_values, max_size=8).map(tuple), cycles=_values
+        ),
+        st.builds(
+            TrialFailure,
+            attempts=st.integers(0, 9),
+            faults=st.lists(st.text(), max_size=3).map(tuple),
+            error=st.text(),
+        ),
+    )
+
+    class TestRecordTextProperties:
+        @given(key=st.text(), outcome=_outcomes)
+        @settings(max_examples=300, deadline=None)
+        def test_text_path_matches_the_reference(self, key, outcome):
+            check_record_text(key, outcome)

@@ -1,10 +1,10 @@
-"""Optional heavy dependencies stay off the import path of every command.
+"""Heavy packages stay off the import path of every command.
 
-``networkx`` serves one Figure 4 helper (``control_flow_graph``) and
-numpy one optional ALU backend for wide lockstep packs.  Loading both
-takes a few tenths of a second, which a command that uses neither must
-not pay, so neither may load until that code runs.  Each check runs in a fresh interpreter,
-because other tests may already have imported both into this one.
+``networkx`` serves one Figure 4 helper (``control_flow_graph``) and may
+not load until that code runs; numpy is no dependency at all, and no
+command, batched runs included, may pull it in.  Loading either takes a
+few tenths of a second.  Each check runs in a fresh interpreter, because
+other tests may already have imported both into this one.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ import os
 import subprocess
 import sys
 import textwrap
-
-import pytest
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 HEAVY = ("networkx", "numpy")
@@ -34,7 +32,6 @@ def run_fresh(code: str, env=None) -> dict:
         % (HEAVY,)
     )
     environ = dict(os.environ, PYTHONPATH=SRC)
-    environ.pop("REPRO_BATCH_NUMPY", None)
     environ.update(env or {})
     done = subprocess.run(
         [sys.executable, "-c", prelude + textwrap.dedent(code)],
@@ -58,6 +55,12 @@ def test_campaign_status_loads_neither(tmp_path):
         report(rc=main(["campaign", "status", "e3-matrix", "--store", {str(tmp_path)!r}]))
         """
     )
+    assert facts == {"rc": 0, "loaded": []}
+
+
+def test_fresh_batched_run_loads_neither(tmp_path):
+    argv = ["campaign", "run", "ci-smoke", "--store", str(tmp_path), "--batch", "16"]
+    facts = run_fresh(f"from repro.cli import main\nreport(rc=main({argv!r}))")
     assert facts == {"rc": 0, "loaded": []}
 
 
@@ -85,25 +88,3 @@ def test_control_flow_graph_imports_networkx_on_use():
     )
     assert facts["before"] is False
     assert facts["graph"].startswith("networkx.") and facts["graph"].endswith("DiGraph")
-
-
-PACK_WIDTHS = """
-from repro.runtime.batch import LockstepBatch
-# Backend selection happens at construction; no program runs here.
-narrow = LockstepBatch(None, None, 4).use_numpy
-after_narrow = "numpy" in sys.modules
-report(narrow=narrow, after_narrow=after_narrow, wide=LockstepBatch(None, None, 16).use_numpy)
-"""
-
-
-def test_wide_pack_selects_numpy_when_installed():
-    pytest.importorskip("numpy")
-    facts = run_fresh(PACK_WIDTHS)
-    assert facts == {
-        "narrow": False, "after_narrow": False, "wide": True, "loaded": ["numpy"],
-    }
-
-
-def test_switch_off_forces_list_backend():
-    facts = run_fresh(PACK_WIDTHS, env={"REPRO_BATCH_NUMPY": "0"})
-    assert facts == {"narrow": False, "after_narrow": False, "wide": False, "loaded": []}

@@ -21,6 +21,8 @@ all yield the scalar bytes -- pack formation, like chunking, may only
 change how trials are scheduled, never what they compute.
 """
 
+import json
+
 import pytest
 
 from repro.runtime import TrialPool
@@ -120,8 +122,8 @@ class TestExecutionShapeIdentity:
 class TestBatchShapeIdentity:
     """Lockstep batching at {1, 4, 17} lanes: same bytes, every shape.
 
-    17 deliberately exceeds the 12-payload cell (one undersized pack)
-    and the numpy lane threshold; 4 splits the cell into ragged packs;
+    17 deliberately exceeds the 12-payload cell (one undersized pack);
+    4 splits the cell into ragged packs;
     1 must be indistinguishable from no batching at all.
     """
 
@@ -248,3 +250,39 @@ class TestKaslrBatchShapeIdentity:
         assert [
             (tuple(result.totes), result.cycles) for result in results
         ] == [GOLDEN_KASLR[i][1] for i in order]
+
+
+class TestBatchBenchGate:
+    """``perf bench --batch B`` gates against the score recorded for B
+    lanes *and* the leader-cache mode: a cache-off run re-executes every
+    leader, so judging it against the cached score flags a regression
+    that is not there."""
+
+    def _bench(self, tmp_path, monkeypatch, cache_on, update=False):
+        from repro.perf import run_bench
+
+        if cache_on:
+            monkeypatch.delenv("REPRO_BATCH_LEADER_CACHE", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_BATCH_LEADER_CACHE", "0")
+        return run_bench(
+            campaign="e9-kaslr", cell=0, trials=8, repeats=1, batch=4,
+            baseline_path=str(tmp_path / "baseline.json"), report_path=None,
+            update_baseline=update, out=lambda line: None,
+        )
+
+    def test_cache_off_never_gates_against_the_cached_score(
+        self, tmp_path, monkeypatch
+    ):
+        (tmp_path / "baseline.json").write_text(json.dumps({
+            "campaign": "e3-matrix", "cell": 0,
+            "kaslr_campaign": "e9-kaslr", "kaslr_cell": 0,
+            "kaslr_batch_scores": {"4": 1e9},
+        }))
+        assert self._bench(tmp_path, monkeypatch, cache_on=True).regressed
+        off = self._bench(tmp_path, monkeypatch, cache_on=False)
+        assert off.baseline_ratio is None and not off.regressed
+        self._bench(tmp_path, monkeypatch, cache_on=False, update=True)
+        scores = json.loads((tmp_path / "baseline.json").read_text())
+        assert set(scores["kaslr_batch_scores"]) == {"4", "4-nocache"}
+        assert scores["kaslr_batch_scores"]["4"] == 1e9

@@ -21,9 +21,10 @@ command       what it does
 ``perf``      the hot-path harness: ``profile`` a campaign cell under
               cProfile, ``bench`` trial throughput against the committed
               baseline (CI's >30%-regression gate)
-``obs``       recorded-run observability: ``report|trace|tail`` replay a
-              ``campaign run --trace-out`` JSONL, ``overhead`` gates
-              telemetry's cost (disabled <2%, enabled <15%)
+``obs``       recorded-run observability: ``report|trace|tail|flame``
+              replay a ``campaign run --trace-out`` JSONL or a shard
+              spool, ``overhead`` gates telemetry's cost (disabled
+              <2%, enabled <15%)
 ``defend``    the detection arms race (``repro.defend``): ``calibrate``
               fits the deterministic detector on seeded benign/attack
               traffic, ``score`` inspects one scenario's windows,
@@ -441,7 +442,7 @@ def cmd_campaign_run(args) -> int:
 
 def cmd_campaign_shard(args) -> int:
     from repro.campaign import CampaignAborted, Shard
-    from repro.distrib import manifest_path, run_shard_observed
+    from repro.distrib import manifest_path, run_shard
 
     try:
         spec = _campaign_spec(args.name)
@@ -458,25 +459,15 @@ def cmd_campaign_shard(args) -> int:
         from repro.faults import ResiliencePolicy
 
         policy = ResiliencePolicy(max_retries=args.retry)
-    trace_out = args.trace_out
-    if args.stream_out and not trace_out:
-        # Streaming without a sidecar would leave nothing for the fold
-        # identity check; record the conventional sidecar alongside.
-        from repro.distrib import telemetry_sidecar
-
-        trace_out = telemetry_sidecar(args.store)
     pool = _trial_pool(args)
     label = f"{spec.name} {shard}"
-    observed = {}
     try:
-        store, stats = run_shard_observed(
+        store, stats = run_shard(
             spec,
             shard,
             args.store,
-            trace_path=trace_out,
             stream_path=args.stream_out,
             stream_every=args.stream_every,
-            observed=observed,
             pool=pool,
             batch_size=args.batch_size,
             policy=policy,
@@ -489,12 +480,6 @@ def cmd_campaign_shard(args) -> int:
     finally:
         if pool is not None:
             pool.close()
-        if trace_out:
-            print(
-                f"[{label}] wrote {observed.get('records', 0)} telemetry "
-                f"records to {trace_out}",
-                file=sys.stderr,
-            )
         if args.stream_out:
             print(
                 f"[{label}] streamed live telemetry to {args.stream_out} "
@@ -527,12 +512,12 @@ def cmd_campaign_merge(args) -> int:
         print(f"merge refused: {exc}", file=sys.stderr)
         return 2
     print(f"merged   : {stats}")
-    sidecars = merge_telemetry(
+    metrics = merge_telemetry(
         args.segments, os.path.join(args.store, FLEET_TELEMETRY)
     )
-    if sidecars:
+    if metrics:
         print(
-            f"telemetry: {len(sidecars)} fleet metrics -> "
+            f"telemetry: {len(metrics)} fleet metrics -> "
             f"{os.path.join(args.store, FLEET_TELEMETRY)} "
             f"(render with `repro obs report`)"
         )
@@ -570,7 +555,6 @@ def cmd_campaign_fleet(args) -> int:
         workers=args.workers,
         batch_size=args.batch_size,
         retry=args.retry,
-        trace=args.trace,
         stream=args.stream,
         stream_every=args.stream_every,
     )
@@ -856,6 +840,12 @@ def cmd_defend_stream(args) -> int:
     return 0 if report.passed else 1
 
 
+#: What every `repro obs` replay command accepts.
+RECORDED_RUN_HELP = (
+    "JSONL file from `campaign run --trace-out`, or a shard's stream spool"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -988,16 +978,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="abort (after checkpointing) once more than M trials failed",
     )
     cshard.add_argument(
-        "--trace-out", default=None, metavar="PATH",
-        help="record this shard's telemetry sidecar (fleet merges fold "
-        "segment sidecars into one `repro obs` view)",
-    )
-    cshard.add_argument(
         "--stream-out", default=None, metavar="PATH",
-        help="append live framed telemetry (spans, metric snapshots, "
-        "heartbeats) to this spool while the shard runs; implies a "
-        "telemetry sidecar, and folding the spool is byte-identical to "
-        "merging the sidecar",
+        help="record this shard's telemetry as a framed spool (spans, "
+        "metric snapshots, heartbeats) appended while the shard runs; "
+        "fleet merges fold segment spools into one `repro obs` view",
     )
     cshard.add_argument(
         "--stream-every", type=int, default=None, metavar="N",
@@ -1061,14 +1045,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-trial retries inside each shard worker (default: 0)",
     )
     cfleet.add_argument(
-        "--trace", action="store_true",
-        help="record per-segment telemetry sidecars and aggregate them "
-        "into the fleet obs view",
-    )
-    cfleet.add_argument(
         "--stream", action="store_true",
-        help="arm the live plane: shards append framed spools, the "
-        "coordinator tails them concurrently (implies --trace; watch "
+        help="record per-segment telemetry spools, tail them while the "
+        "shards run and aggregate them into the fleet obs view (watch "
         "with `repro obs top`, check with `repro obs fold --check`)",
     )
     cfleet.add_argument(
@@ -1214,7 +1193,7 @@ def build_parser() -> argparse.ArgumentParser:
         "report",
         help="summarise a recorded run: span tree, cycle attribution, metrics",
     )
-    oreport.add_argument("trace", help="JSONL file from `campaign run --trace-out`")
+    oreport.add_argument("trace", help=RECORDED_RUN_HELP)
     oreport.add_argument(
         "--limit", type=int, default=10,
         help="cycle-attribution rows to print (default: 10)",
@@ -1226,7 +1205,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="convert a recorded run to Chrome trace_event JSON "
         "(chrome://tracing / Perfetto)",
     )
-    otrace.add_argument("trace", help="JSONL file from `campaign run --trace-out`")
+    otrace.add_argument("trace", help=RECORDED_RUN_HELP)
     otrace.add_argument(
         "--output", default=None, metavar="PATH",
         help="output path (default: <trace>.trace.json)",
@@ -1241,7 +1220,7 @@ def build_parser() -> argparse.ArgumentParser:
     otail = osub.add_parser(
         "tail", help="print a recorded run's last records (post-mortems)"
     )
-    otail.add_argument("trace", help="JSONL file from `campaign run --trace-out`")
+    otail.add_argument("trace", help=RECORDED_RUN_HELP)
     otail.add_argument(
         "--count", type=int, default=20,
         help="records to print (default: 20)",
@@ -1278,10 +1257,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="export collapsed stacks (flamegraph.pl / speedscope input) "
         "from a recorded run or a live spool",
     )
-    oflame.add_argument(
-        "trace",
-        help="JSONL trace from --trace-out, or a stream spool",
-    )
+    oflame.add_argument("trace", help=RECORDED_RUN_HELP)
     oflame.add_argument(
         "--output", default=None, metavar="PATH",
         help="output path (default: <trace>.folded)",
@@ -1290,8 +1266,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ofold = osub.add_parser(
         "fold",
-        help="fold completed stream spools into one metrics artifact; "
-        "--check asserts byte-identity with the sidecar merge",
+        help="fold stream spools into one metrics artifact; --check "
+        "asserts every spool's last attempt was sealed",
     )
     ofold.add_argument(
         "root", help="fleet store root, segment root, or spool file"
@@ -1302,8 +1278,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ofold.add_argument(
         "--check", action="store_true",
-        help="also merge the segments' telemetry sidecars and exit "
-        "non-zero unless the bytes match (CI obs-stream-smoke)",
+        help="exit 1, naming the shard, unless every spool's highest "
+        "attempt ends in an end frame (CI obs-stream-smoke)",
     )
     ofold.set_defaults(func=cmd_obs_fold)
 

@@ -64,11 +64,9 @@ from repro.distrib.shard import (
     manifest_path,
     read_manifest,
     run_shard,
-    run_shard_observed,
     segment_root,
     shard_spec_positions,
     stream_spool_args,
-    telemetry_sidecar,
     write_manifest,
 )
 
@@ -91,10 +89,8 @@ __all__ = [
     "merge_telemetry",
     "read_manifest",
     "run_shard",
-    "run_shard_observed",
     "segment_root",
     "shard_spec_positions",
     "stream_spool_args",
-    "telemetry_sidecar",
     "write_manifest",
 ]

@@ -64,10 +64,6 @@ TARGET_CHUNK_SECONDS = 0.05
 #: chunk's worker dies and the latency before the first result lands.
 MAX_CHUNK = 64
 
-#: Histogram bounds for the adaptive chunk-size metric (powers of two up
-#: to :data:`MAX_CHUNK`).
-CHUNK_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
-
 #: How many trailing stderr lines a dead worker leaves behind in its
 #: :class:`WorkerLostError` payload and lifecycle trace events.
 STDERR_TAIL_LINES = 10
@@ -700,15 +696,10 @@ class ProcessExecutor:
         if not count:
             return []
         crew = self._ensure_pool()
-        chunk = self._pick_chunk(count)
-        if telemetry.enabled():
-            # Record what the adaptive heuristic chose, then dispatch per
-            # payload anyway: worker telemetry batches are keyed by trial,
-            # and chunked dispatch would blur per-trial attribution.
-            telemetry.observe(
-                "pool.chunk.size", chunk, buckets=CHUNK_BUCKETS, det=False
-            )
-            chunk = 1
+        # With telemetry on, dispatch per payload: worker telemetry
+        # batches are keyed by trial, and chunked dispatch would blur
+        # per-trial attribution.
+        chunk = 1 if telemetry.enabled() else self._pick_chunk(count)
         if chunk <= 1 or getattr(fn, "wants_attempt", False):
             # Per-payload dispatch (also for fault-injecting wrappers,
             # whose plans are keyed to individual dispatches).

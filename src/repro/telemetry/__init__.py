@@ -16,9 +16,10 @@ Five modules:
 * :mod:`repro.telemetry.export` -- JSONL logs, Chrome ``trace_event``
   JSON, text cycle attribution, collapsed flamegraph stacks,
   sidecar-stripped checksums;
-* :mod:`repro.telemetry.stream` -- the live fleet plane: framed
-  per-shard spools, deterministic heartbeats, the tail-then-fold
-  contract (fold == end-of-shard ``merge_telemetry``, byte for byte);
+* :mod:`repro.telemetry.stream` -- the fleet plane: the framed
+  per-shard spool that is a shard's whole telemetry record, tailed live
+  and folded after the fact (the fold recovers exactly the snapshot the
+  shard sealed), with deterministic heartbeats;
 * :mod:`repro.telemetry.live` -- the ``--progress`` renderer and the
   ``repro obs report|trace|tail|top|flame|fold|overhead`` CLI bodies.
 

@@ -7,21 +7,21 @@ Three consumers:
   the batch layer's eviction/stand-down counters stream to stderr while
   the campaign executes (stderr only -- the report artifact stays
   byte-identical).
-* ``repro obs report|trace|tail`` replay a run recorded with
-  ``--trace-out``: ``report`` prints the span-tree rollup, cycle
-  attribution and metrics table; ``trace`` converts to Chrome
-  ``trace_event`` JSON for ``chrome://tracing`` / Perfetto; ``tail``
-  prints the last N records (what was the campaign doing when it
-  died?).  All three load through the tolerant
-  :func:`~repro.telemetry.export.load_trace`: a missing or empty file
-  is a one-line error, a torn trailing record a skipped warning.
-* ``repro obs top|flame|fold`` consume the live plane
+* ``repro obs report|trace|tail|flame`` replay a run recorded with
+  ``--trace-out`` or a shard's stream spool: ``report`` prints the
+  span-tree rollup, cycle attribution and metrics table; ``trace``
+  converts to Chrome ``trace_event`` JSON for ``chrome://tracing`` /
+  Perfetto; ``tail`` prints the last N records (what was the campaign
+  doing when it died?); ``flame`` exports collapsed stacks
+  (``flamegraph.pl`` / speedscope input).  All four load through one
+  tolerant loader: a missing or empty file is a one-line error, a torn
+  record a skipped warning, and a spool reads as the span records and
+  snapshot of the attempt its fold selects.
+* ``repro obs top|fold`` consume the live plane
   (:mod:`repro.telemetry.stream`): ``top`` tails every shard spool
-  under a fleet root into one refreshing dashboard, ``flame`` exports
-  collapsed stacks (``flamegraph.pl`` / speedscope input) from a trace
-  or a spool, and ``fold`` folds completed spools -- with ``--check``
-  asserting the fold is byte-identical to the end-of-shard
-  ``merge_telemetry`` artifact (the CI determinism gate).
+  under a fleet root into one refreshing dashboard, and ``fold`` folds
+  spools through ``merge_telemetry`` -- with ``--check`` asserting
+  every spool's last attempt was sealed (the CI gate).
 """
 
 from __future__ import annotations
@@ -154,16 +154,33 @@ def _span_rollup(records: List[dict], out=print) -> None:
 def _load_tolerant(path: str, out) -> Optional[List[dict]]:
     """Load a recorded run for an obs command, or None after reporting.
 
-    The satellite contract for every replay command: damage becomes a
-    one-line diagnosis (the caller exits 2), never a traceback.
+    The contract for every replay command: damage becomes a one-line
+    diagnosis (the caller exits 2), never a traceback.  A stream spool
+    loads as the span records plus the folded snapshot of the attempt
+    :func:`~repro.telemetry.stream.fold_frames` selects -- replayed
+    frames and superseded attempts drop out -- so it replays exactly
+    like a ``--trace-out`` recording of that attempt.
     """
+    from repro.telemetry.stream import (
+        fold_frames,
+        is_frame,
+        read_frames,
+        spool_records,
+    )
+
     try:
-        return load_trace(
+        records = load_trace(
             path, warn=lambda message: out(f"warning: {message}")
         )
     except TraceUnreadable as exc:
         out(f"error: {exc}")
         return None
+    if not is_frame(records[0]):
+        return records
+    frames, _ = read_frames(path)
+    return spool_records(frames) + [
+        {"kind": "metrics", "snapshot": fold_frames(frames)}
+    ]
 
 
 def run_obs_report(path: str, limit: int = 10, out=print) -> int:
@@ -282,20 +299,13 @@ def run_obs_flame(
 ) -> int:
     """The ``repro obs flame`` body: collapsed-stack cycle export.
 
-    Accepts a recorded sidecar *or* a live spool (span frames are
-    unwrapped); writes one ``frame;frame count`` line per span path --
-    pipe straight into ``flamegraph.pl`` or import into speedscope.
+    Accepts a recorded run or a spool; writes one ``frame;frame count``
+    line per span path -- pipe straight into ``flamegraph.pl`` or import
+    into speedscope.
     """
-    from repro.telemetry.stream import FRAME_KINDS, spool_records
-
     records = _load_tolerant(path, out)
     if records is None:
         return 2
-    first = records[0]
-    if first.get("kind") in FRAME_KINDS and isinstance(
-        first.get("body"), dict
-    ):
-        records = spool_records(records)
     trace, _ = split_metrics(records)
     stacks = collapsed_stacks(trace)
     if not stacks:
@@ -319,18 +329,19 @@ def run_obs_fold(
     check: bool = False,
     out=print,
 ) -> int:
-    """The ``repro obs fold`` body: fold spools; ``--check`` pins identity.
+    """The ``repro obs fold`` body: fold spools; ``--check`` pins sealing.
 
-    Folds every segment spool under *root* into one recorded-run
-    metrics artifact.  With *check*, also folds the segments'
-    end-of-shard sidecars through ``merge_telemetry`` and asserts the
-    two artifacts are byte-identical -- the streaming determinism
-    contract, run standalone by the CI ``obs-stream-smoke`` step.
+    Folds every segment spool under *root* through ``merge_telemetry``
+    into one recorded-run metrics artifact.  With *check*, also demands
+    that every spool's highest attempt ends in an ``end`` frame -- a
+    spool without one folds to a mid-run prefix, not to the snapshot
+    its shard sealed -- and exits 1 naming each unsealed shard (run
+    standalone by the CI ``obs-stream-smoke`` step).
     """
     import hashlib
 
     from repro.distrib.merge import merge_telemetry
-    from repro.telemetry.stream import discover_spools, fold_streams
+    from repro.telemetry.stream import discover_spools, read_frames
 
     spools = discover_spools(root)
     if not spools:
@@ -340,33 +351,28 @@ def run_obs_fold(
         )
         return 2
     segments = sorted(os.path.dirname(path) for path in spools.values())
-    folded = fold_streams(segments, dest_path=output)
-
-    def artifact_bytes(snapshot: Dict[str, dict]) -> bytes:
-        return (
-            json.dumps(
-                {"kind": "metrics", "snapshot": snapshot}, sort_keys=True
-            )
-            + "\n"
-        ).encode()
-
-    fold_bytes = artifact_bytes(folded)
-    fold_sum = hashlib.sha256(fold_bytes).hexdigest()
+    folded = merge_telemetry(segments, dest_path=output)
+    fold_bytes = (
+        json.dumps({"kind": "metrics", "snapshot": folded}, sort_keys=True)
+        + "\n"
+    ).encode()
     out(
         f"folded {len(spools)} spool(s): {len(folded)} metrics, "
-        f"sha256 {fold_sum}"
+        f"sha256 {hashlib.sha256(fold_bytes).hexdigest()}"
     )
     if output:
         out(f"wrote fold to {output}")
     if check:
-        merged = merge_telemetry(segments)
-        merge_bytes = artifact_bytes(merged)
-        merge_sum = hashlib.sha256(merge_bytes).hexdigest()
-        if fold_bytes != merge_bytes:
-            out(
-                f"FOLD MISMATCH: stream fold sha256 {fold_sum} != "
-                f"sidecar merge sha256 {merge_sum}"
-            )
+        sealed = True
+        for label, path in spools.items():
+            frames, _ = read_frames(path)
+            if not frames or frames[-1]["kind"] != "end":
+                sealed = False
+                out(
+                    f"UNSEALED: {label}: {path} has no end frame in its "
+                    f"last attempt (shard died or is still running)"
+                )
+        if not sealed:
             return 1
-        out(f"fold == merge_telemetry: ok (sha256 {merge_sum})")
+        out(f"every spool sealed: ok ({len(spools)} shards)")
     return 0

@@ -19,8 +19,8 @@ campaign total.
 Every metric carries a ``det`` flag: ``True`` means the value is part
 of the determinism contract -- identical at any worker count for a
 fixed seed (trial counts, retry/quarantine counts, PMU-derived sums).
-``False`` marks host-dependent measurements (fsync latency, trials/sec,
-adaptive chunk sizes); :func:`deterministic_view` strips them, and that
+``False`` marks host-dependent measurements (fsync latency,
+trials/sec); :func:`deterministic_view` strips them, and that
 view is what the determinism tests compare across worker counts.
 """
 

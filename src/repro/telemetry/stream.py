@@ -1,20 +1,15 @@
-"""The live fleet telemetry plane: framed, tail-able shard spools.
-
-PR 6 made fleet telemetry an *end-of-shard* artifact: every shard
-writes its ``telemetry.jsonl`` sidecar when it exits, and
-:func:`repro.distrib.merge.merge_telemetry` folds the sidecars after
-the fact.  This module makes the same telemetry *streamable while the
-shard runs* without touching a single artifact byte.
+"""The fleet telemetry plane: framed, tail-able shard spools.
 
 A shard armed with ``--stream-out`` appends **frames** -- one JSON
 object per line -- to a per-shard spool (``stream.jsonl`` in the
-segment root).  Frames are sequence-numbered per attempt and carry one
-of five kinds:
+segment root).  The spool is the shard's whole telemetry record: it is
+tailed live while the shard runs and folded after it exits, and no
+other per-shard telemetry file exists.  Frames are sequence-numbered
+per attempt and carry one of five kinds:
 
 * ``open`` -- the attempt started (campaign, shard arithmetic, trial
   counts);
-* ``spans`` -- a delta batch of newly closed span/event records (the
-  same record dicts the sidecar will eventually contain);
+* ``spans`` -- a delta batch of newly closed span/event records;
 * ``metrics`` -- a **cumulative** snapshot of the shard's metrics
   registry at a trial-count boundary;
 * ``heartbeat`` -- the deterministic progress pulse: done/total/cached/
@@ -22,25 +17,25 @@ of five kinds:
   detector counters, with host-dependent facts (trials/sec, wall
   seconds) quarantined under the frame body's ``host`` key exactly like
   the span sidecar fields;
-* ``end`` -- the attempt completed; its body carries the *exact*
-  metrics snapshot the end-of-shard sidecar records.
+* ``end`` -- the attempt completed; its body carries the metrics
+  snapshot the shard drained from its registry when it finished.
 
 Everything is emitted at a **deterministic trial-count cadence**
 (``--stream-every N``), never on a wall-clock timer: two runs of the
 same shard produce frame streams whose deterministic content is
 identical, so the stream is as replayable as every other artifact.
 
-The determinism contract (pinned by ``tests/test_obs_stream.py`` and
-the CI ``obs-stream-smoke`` checksum diff):
+The determinism contract (pinned by ``tests/test_obs_stream.py``):
 
 1. **Prefix property** -- metrics frames are cumulative, so the live
    fold after any frame prefix is a *prefix* of the final fold: every
    deterministic counter is ``<=`` its final value and nothing appears
    that the final fold lacks.
-2. **Fold identity** -- :func:`fold_streams` over completed spools
-   writes bytes identical to :func:`~repro.distrib.merge.merge_telemetry`
-   over the same segments' sidecars, at any shard count, any retry
-   interleaving, with torn tails and duplicated frames healed.
+2. **Sealed-snapshot recovery** -- :func:`fold_stream` recovers exactly
+   the snapshot the shard's last attempt sealed into its ``end`` frame,
+   at any shard count and retry interleaving, with torn tails and
+   replayed frames healed; :func:`spool_records` recovers that
+   attempt's span records.
 
 Chaos-safety falls out of the frame keying: a retried attempt appends
 with a higher ``attempt`` number (the spool is append-only across
@@ -54,7 +49,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.telemetry.metrics import merge_snapshots
@@ -69,14 +64,14 @@ __all__ = [
     "discover_spools",
     "fold_frames",
     "fold_stream",
-    "fold_streams",
+    "is_frame",
     "read_frames",
     "spool_records",
     "stream_spool",
 ]
 
 #: The conventional spool filename inside a segment root (next to the
-#: segment's ``results.jsonl`` and ``telemetry.jsonl``).
+#: segment's ``results.jsonl``).
 STREAM_SPOOL = "stream.jsonl"
 
 #: Default heartbeat/snapshot cadence in completed trials.
@@ -103,13 +98,12 @@ class StreamWriter:
     """Append framed telemetry deltas to one shard's spool.
 
     The writer is armed by the shard process (``campaign shard
-    --stream-out``) next to -- never instead of -- the end-of-shard
-    sidecar.  ``on_batch`` is the runner's post-checkpoint hook: when
-    the completed-trial count crosses a cadence boundary it emits a
+    --stream-out``).  ``on_batch`` is the runner's post-checkpoint hook:
+    when the completed-trial count crosses a cadence boundary it emits a
     ``spans`` delta, a cumulative ``metrics`` snapshot and a
     ``heartbeat``.  ``close`` seals the attempt with an ``end`` frame
-    carrying the exact snapshot the sidecar records, which is what makes
-    :func:`fold_streams` byte-identical to the sidecar fold.
+    carrying the shard's final snapshot, which is what
+    :func:`fold_stream` recovers.
 
     Resume-safety: a fresh writer on an existing spool (a retried shard
     attempt) heals any torn trailing line and continues under the next
@@ -161,7 +155,7 @@ class StreamWriter:
         """Continue an existing spool under the next attempt number."""
         if not os.path.exists(self.path):
             return 0
-        frames, _ = read_frames(self.path, dedup=False)
+        frames, _ = read_frames(self.path)
         if not frames:
             return 0
         return max(frame["attempt"] for frame in frames) + 1
@@ -195,9 +189,8 @@ class StreamWriter:
     def _collect_spans(self) -> List[dict]:
         """Newly closed records since the last flush (non-destructive).
 
-        The recorder is never drained here -- the end-of-shard sidecar
-        still receives every record -- so the spool is a live *mirror*
-        of the trace, not a competing owner of it.
+        The recorder is never drained here, so whatever else its owner
+        does with it (a test probe, the overhead harness) is undisturbed.
         """
         recorder = telemetry.recorder()
         if recorder is None:
@@ -290,9 +283,9 @@ class StreamWriter:
     ) -> None:
         """Seal the attempt: final spans delta plus the ``end`` frame.
 
-        *snapshot* must be the exact metrics snapshot the end-of-shard
-        sidecar records (the CLI computes it once and hands it to both
-        writers) -- that equality is the whole fold-identity contract.
+        *snapshot* is the metrics snapshot the shard drained when it
+        finished (default: the live registry's); :func:`fold_stream`
+        recovers exactly this dict.
         """
         if self._closed:
             return
@@ -305,7 +298,7 @@ class StreamWriter:
         final_update = update if update is not None else self._last_update
         if final_update:
             # Counters come from the sealed snapshot: the registry may
-            # already be drained by the sidecar writer at close time.
+            # already be drained at close time.
             body["heartbeat"] = self._heartbeat_body(
                 final_update, snapshot=snapshot
             )
@@ -321,23 +314,24 @@ class StreamWriter:
 # -- reading ---------------------------------------------------------------
 
 
+def is_frame(record) -> bool:
+    """Whether *record* (a decoded spool line) is a well-formed frame."""
+    return (
+        isinstance(record, dict)
+        and record.get("kind") in FRAME_KINDS
+        and isinstance(record.get("attempt"), int)
+        and isinstance(record.get("seq"), int)
+        and isinstance(record.get("body"), dict)
+    )
+
+
 def _parse_frame(line: str) -> Optional[dict]:
     """One spool line as a validated frame, or None for damage."""
     try:
         frame = json.loads(line)
     except ValueError:
         return None
-    if not isinstance(frame, dict):
-        return None
-    if frame.get("kind") not in FRAME_KINDS:
-        return None
-    if not isinstance(frame.get("attempt"), int):
-        return None
-    if not isinstance(frame.get("seq"), int):
-        return None
-    if not isinstance(frame.get("body"), dict):
-        return None
-    return frame
+    return frame if is_frame(frame) else None
 
 
 class StreamCursor:
@@ -348,14 +342,14 @@ class StreamCursor:
     buffered until its writer finishes it, so tailing never observes a
     torn frame.  Damaged complete lines (a line the writer healed over)
     count in :attr:`torn` and are skipped -- the reader-side mirror of
-    the writer's torn-tail healing.
+    the writer's torn-tail healing.  Replayed frames drop by
+    first-write-wins on ``(attempt, seq)``.
     """
 
-    def __init__(self, path: str, dedup: bool = True) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
         self.offset = 0
         self.torn = 0
-        self._dedup = dedup
         self._seen: set = set()
 
     def poll(self) -> List[dict]:
@@ -365,8 +359,6 @@ class StreamCursor:
                 handle.seek(self.offset)
                 data = handle.read()
         except OSError:
-            return []
-        if not data:
             return []
         # Consume only through the last newline: a torn tail stays put.
         cut = data.rfind(b"\n")
@@ -383,88 +375,83 @@ class StreamCursor:
             if frame is None:
                 self.torn += 1
                 continue
-            if self._dedup:
-                key = (frame["attempt"], frame["seq"])
-                if key in self._seen:
-                    continue
-                self._seen.add(key)
+            key = (frame["attempt"], frame["seq"])
+            if key in self._seen:
+                continue
+            self._seen.add(key)
             frames.append(frame)
         return frames
 
 
-def read_frames(path: str, dedup: bool = True) -> Tuple[List[dict], int]:
+def read_frames(path: str) -> Tuple[List[dict], int]:
     """Load a whole spool; returns ``(frames, torn_line_count)``.
 
-    With *dedup* (the default), replayed frames drop by first-write-wins
-    on ``(attempt, seq)`` and frames order by that same key -- the
+    One :class:`StreamCursor` poll, plus the trailing partial line a
+    cursor leaves buffered (a spool that does not end in a newline ends
+    in a torn frame), with frames ordered by ``(attempt, seq)`` -- the
     canonical view any reader interleaving converges to.
     """
-    frames: List[dict] = []
-    torn = 0
-    seen: set = set()
+    cursor = StreamCursor(path)
+    frames = cursor.poll()
     with open(path, "rb") as handle:
-        data = handle.read()
-    lines = data.split(b"\n")
-    # A spool without a trailing newline ends in a torn frame.
-    if lines and lines[-1].strip():
-        torn += 1
-    for raw in lines[:-1]:
-        line = raw.strip()
-        if not line:
-            continue
-        frame = _parse_frame(line.decode(errors="replace"))
-        if frame is None:
-            torn += 1
-            continue
-        if dedup:
-            key = (frame["attempt"], frame["seq"])
-            if key in seen:
-                continue
-            seen.add(key)
-        frames.append(frame)
-    if dedup:
-        frames.sort(key=lambda frame: (frame["attempt"], frame["seq"]))
+        handle.seek(cursor.offset)
+        torn = cursor.torn + (1 if handle.read().strip() else 0)
+    frames.sort(key=lambda frame: (frame["attempt"], frame["seq"]))
     return frames, torn
-
-
-def spool_records(frames: Iterable[dict]) -> List[dict]:
-    """Every span/event record carried by ``spans`` frames, in frame
-    order -- lets ``repro obs flame``/``report`` consume a spool
-    directly."""
-    records: List[dict] = []
-    for frame in frames:
-        if frame.get("kind") == "spans":
-            records.extend(frame["body"].get("records", []))
-    return records
 
 
 # -- folding (the determinism contract) ------------------------------------
 
 
-def fold_frames(frames: Iterable[dict]) -> Dict[str, dict]:
-    """The final metrics snapshot one spool's frames resolve to.
+def _selected_attempt(
+    frames: Iterable[dict],
+) -> Tuple[Optional[int], Dict[str, dict]]:
+    """The attempt one spool's frames resolve to, and its snapshot.
 
     Snapshots are cumulative, so folding is *selection*, not
     accumulation: the ``end`` frame of the highest attempt that has one
-    wins outright (that snapshot is byte-for-byte what the sidecar
-    recorded).  A spool whose every attempt died mid-run falls back to
+    wins outright (that snapshot is byte-for-byte what the shard
+    sealed).  A spool whose every attempt died mid-run falls back to
     the latest ``metrics`` frame of its highest attempt -- the best
-    prefix available -- and an empty or span-only spool folds to ``{}``,
-    contributing nothing, exactly like a segment without a sidecar.
+    prefix available -- and a spool with no snapshot at all selects its
+    highest attempt with ``{}``, contributing nothing to a fleet fold.
     """
     ends: Dict[int, Dict[str, dict]] = {}
     latest: Dict[int, Dict[str, dict]] = {}
+    highest: Optional[int] = None
     for frame in frames:
         attempt = frame["attempt"]
+        if highest is None or attempt > highest:
+            highest = attempt
         if frame["kind"] == "end":
             ends[attempt] = frame["body"].get("snapshot", {})
         elif frame["kind"] == "metrics":
             latest[attempt] = frame["body"].get("snapshot", {})
-    if ends:
-        return ends[max(ends)]
-    if latest:
-        return latest[max(latest)]
-    return {}
+    for snapshots in (ends, latest):
+        if snapshots:
+            attempt = max(snapshots)
+            return attempt, snapshots[attempt]
+    return highest, {}
+
+
+def fold_frames(frames: Iterable[dict]) -> Dict[str, dict]:
+    """The final metrics snapshot one spool's frames resolve to."""
+    return _selected_attempt(frames)[1]
+
+
+def spool_records(frames: Sequence[dict]) -> List[dict]:
+    """The span/event records of the attempt :func:`fold_frames`
+    selects, in recorder (``seq``) order -- what ``repro obs
+    report|trace|tail|flame`` replay from a spool."""
+    attempt, _ = _selected_attempt(frames)
+    records = [
+        record
+        for frame in frames
+        if frame["kind"] == "spans" and frame["attempt"] == attempt
+        for record in frame["body"].get("records", [])
+    ]
+    records.sort(key=lambda record: record["seq"])
+    return records
 
 
 def fold_stream(path: str) -> Dict[str, dict]:
@@ -473,30 +460,6 @@ def fold_stream(path: str) -> Dict[str, dict]:
         return {}
     frames, _ = read_frames(path)
     return fold_frames(frames)
-
-
-def fold_streams(
-    segment_roots: Iterable[str],
-    dest_path: Optional[str] = None,
-) -> Dict[str, dict]:
-    """Fold every segment's spool into one fleet snapshot.
-
-    The streaming twin of :func:`repro.distrib.merge.merge_telemetry`:
-    same commutative snapshot merge, same recorded-run output format,
-    and -- for completed streams -- byte-identical output, because each
-    spool's ``end`` frame carries the exact snapshot its sidecar holds.
-    """
-    from repro.telemetry.export import write_jsonl
-
-    snapshots = []
-    for root in segment_roots:
-        folded = fold_stream(stream_spool(root))
-        if folded:
-            snapshots.append(folded)
-    merged = merge_snapshots(*snapshots)
-    if dest_path is not None:
-        write_jsonl([], dest_path, metrics=merged)
-    return merged
 
 
 def discover_spools(root: str) -> Dict[str, str]:
@@ -611,7 +574,7 @@ class FleetView:
     The coordinator (and the standalone CLI) polls :meth:`poll`; the
     merged metrics of the latest cumulative snapshots are the *live
     fold* -- by the prefix property, always a prefix of the final
-    :func:`fold_streams` result.
+    :func:`~repro.distrib.merge.merge_telemetry` result.
     """
 
     def __init__(self, spools: Dict[str, str], campaign: str = "") -> None:
